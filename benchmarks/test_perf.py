@@ -61,9 +61,13 @@ def test_perf_lamport_replay(benchmark, trace):
 
 
 def test_perf_lamport_replay_legacy(benchmark, trace):
-    """Per-event walk, kept as the reference point for the columnar speedup."""
-    times = benchmark(lambda: timestamp_trace(trace, "ltbb", impl="legacy"))
-    assert len(times.times) == trace.n_locations
+    """Per-event oracle walk, kept as the reference point for the columnar
+    speedup (run from the repository root so ``tests`` is importable)."""
+    from repro.clocks import make_increment
+    from tests.oracles import LamportClock
+
+    times = benchmark(lambda: LamportClock(make_increment("ltbb")).assign(trace))
+    assert len(times) == trace.n_locations
 
 
 def test_perf_hwctr_replay(benchmark, trace):

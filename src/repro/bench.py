@@ -1,7 +1,7 @@
 """Performance benchmark harness behind the ``repro-bench`` CLI.
 
-Times the toolchain's hot paths -- the discrete-event engine, the clock
-replay (per-event vs. columnar), the analyzer walk, and a miniature
+Times the toolchain's hot paths -- the discrete-event engine, the
+columnar clock replay, the analyzer walk, and a miniature
 measurement campaign (serial vs. parallel workers) -- and writes the
 numbers to ``BENCH_repro.json``.  A committed baseline
 (``benchmarks/BENCH_baseline.json``) plus ``--baseline`` turns the run
@@ -10,9 +10,9 @@ its baseline value fails the run (CI uses 2x).
 
 The numbers are wall-clock best-of-``repeats`` measurements of single-
 process work, so they are machine-dependent but robust against transient
-load; the *speedup* figures (columnar vs. legacy replay) are
-machine-independent enough to track the paper-repro's own performance
-claims.
+load; the engine *speedup* figure (vectorized vs. legacy heapq drain,
+timed in the same run) is machine-independent enough to track the
+paper-repro's own performance claims.
 """
 
 from __future__ import annotations
@@ -134,24 +134,16 @@ def run_benchmarks(quick: bool = False, workers: int = 2,
     }
 
     for mode, kwargs in (("ltbb", {}), ("lthwctr", {"counter_seed": 1})):
-        legacy_s = _timed(
-            session, f"replay_{mode}_legacy",
-            lambda: timestamp_trace(trace, mode, impl="legacy", **kwargs),
-            repeats,
-        )
         columnar_s = _timed(
             session, f"replay_{mode}_columnar",
             lambda: timestamp_trace(trace, mode, **kwargs), repeats,
         )
         results[f"replay_{mode}"] = {
-            "legacy_seconds": legacy_s,
             "columnar_seconds": columnar_s,
-            "speedup": legacy_s / columnar_s,
             "events_per_sec": n_events / columnar_s,
         }
         log(f"replay {mode:8s}{columnar_s * 1e3:8.2f} ms "
-            f"({n_events / columnar_s:,.0f} events/s, "
-            f"{legacy_s / columnar_s:.1f}x vs per-event walk)")
+            f"({n_events / columnar_s:,.0f} events/s)")
 
     tt = timestamp_trace(trace, "tsc")
     analyzer_s = _timed(session, "analyzer", lambda: analyze_trace(tt), repeats)

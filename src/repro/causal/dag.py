@@ -41,10 +41,11 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.patterns import late_sender_wait, nxn_waits
+from repro.clocks.streaming import location_increments
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
-from repro.machine.noise import CounterNoise, NoiseConfig
-from repro.measure.config import LTHWCTR, TSC, validate_mode
+from repro.machine.noise import NoiseConfig
+from repro.measure.config import TSC, validate_mode
 from repro.sim.events import (
     BURST,
     COLL_END,
@@ -57,7 +58,6 @@ from repro.sim.events import (
     RESTART,
     TEAM_BEGIN,
 )
-from repro.util.rng import RngStreams
 
 __all__ = [
     "BLAME_COMPUTE",
@@ -222,18 +222,9 @@ def build_dag(
     dag = CausalDag(mode, list(regions.names), list(trace_like.locations))
     is_tsc = mode == TSC
 
-    if mode == LTHWCTR:
-        from repro.clocks.hwcounter import HwCounterIncrement
-
-        cfg = (counter_noise_config if counter_noise_config is not None
-               else NoiseConfig())
-        model = HwCounterIncrement(
-            trace_like, CounterNoise(RngStreams(counter_seed), cfg))
-        inc_of = [model.for_location(loc) for loc in range(n)]
-    elif not is_tsc:
-        from repro.clocks.increments import make_increment
-
-        inc_of = [make_increment(mode)] * n
+    if not is_tsc:
+        inc_of = location_increments(trace_like, mode, counter_seed,
+                                     counter_noise_config)
 
     clock = [0.0] * n
     ev_idx = [0] * n

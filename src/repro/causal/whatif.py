@@ -16,12 +16,12 @@ predictor (see ``docs/causal.md`` for the validity conditions).
 Validation (:func:`validate_whatif`) is deliberately expensive and
 independent: it re-runs the **full engine simulation** from scratch
 (deterministic programs regenerate the trace), applies the same edits
-through a *scalar per-event* walk that mirrors
-:func:`repro.clocks.streaming.stream_clock_replay`, and demands the
-final clock of every location match the vectorized prediction **bit for
-bit**.  Scaling factors that are powers of two keep even the float
-multiplications exact, so ``factor=2.0``/``0.5``/``0.0`` edits carry the
-bit-identity guarantee end to end.
+through *scalar per-event* increments driven by the stream walk of
+:mod:`repro.clocks.streaming`, and demands the final clock of every
+location match the vectorized prediction **bit for bit**.  Scaling
+factors that are powers of two keep even the float multiplications
+exact, so ``factor=2.0``/``0.5``/``0.0`` edits carry the bit-identity
+guarantee end to end.
 
 Only the four deterministic static modes (``lt1``, ``ltloop``, ``ltbb``,
 ``ltstmt``) support what-if replay: ``tsc`` waits are physical and
@@ -36,7 +36,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.clocks.base import final_clocks
 from repro.clocks.columnar import columnar_increments, lamport_assign_columnar
+from repro.clocks.streaming import _stream_walk
 from repro.measure.config import (
     LT1,
     LTBB,
@@ -46,18 +48,7 @@ from repro.measure.config import (
     Y_STMT_PER_OMP_CALL,
     validate_mode,
 )
-from repro.sim.events import (
-    BURST,
-    COLL_END,
-    ENTER,
-    FORK,
-    LEAVE,
-    MPI_RECV,
-    MPI_SEND,
-    OBAR_LEAVE,
-    RESTART,
-    TEAM_BEGIN,
-)
+from repro.sim.events import BURST, ENTER, LEAVE
 
 __all__ = [
     "REPLAYABLE_MODES",
@@ -203,6 +194,16 @@ def _region_edit_plan(edits: Sequence[WhatIfEdit], regions):
     return region_edits, rank_factors
 
 
+def _location_factors(plan, rank: int) -> Tuple[float, Dict[int, float]]:
+    """(rank factor, region id -> composed factor) for one location."""
+    region_edits, rank_factors = plan
+    factor_of: Dict[int, float] = {}
+    for rid, e in region_edits:
+        if e.rank is None or e.rank == rank:
+            factor_of[rid] = factor_of.get(rid, 1.0) * e.factor
+    return rank_factors.get(rank, 1.0), factor_of
+
+
 def _event_scales(cols, edits: Sequence[WhatIfEdit]) -> List[np.ndarray]:
     """Per-location per-event work scale factors for ``edits``.
 
@@ -213,16 +214,11 @@ def _event_scales(cols, edits: Sequence[WhatIfEdit]) -> List[np.ndarray]:
     being left, and a ``BURST``'s to the burst's own region.  A region
     edit applies to the whole subtree below its target region.
     """
-    region_edits, rank_factors = _region_edit_plan(edits, cols.regions)
+    plan = _region_edit_plan(edits, cols.regions)
     out: List[np.ndarray] = []
     for loc, lc in enumerate(cols.locs):
         n = len(lc)
-        rank = cols.locations[loc][0]
-        rf = rank_factors.get(rank, 1.0)
-        factor_of: Dict[int, float] = {}
-        for rid, e in region_edits:
-            if e.rank is None or e.rank == rank:
-                factor_of[rid] = factor_of.get(rid, 1.0) * e.factor
+        rf, factor_of = _location_factors(plan, cols.locations[loc][0])
         s = np.full(n, rf, dtype=np.float64) if rf != 1.0 \
             else np.ones(n, dtype=np.float64)
         if factor_of:
@@ -290,8 +286,8 @@ def run_whatif(
     edited_inc = columnar_increments(cols, mode, x_bb=x_bb, y_stmt=y_stmt,
                                      scales=scales)
     edited_times = lamport_assign_columnar(cols, edited_inc)
-    baseline_final = [float(t[-1]) if len(t) else 0.0 for t in base_times]
-    final = [float(t[-1]) if len(t) else 0.0 for t in edited_times]
+    baseline_final = final_clocks(base_times)
+    final = final_clocks(edited_times)
     return WhatIfResult(
         mode=mode,
         edits=edits,
@@ -332,96 +328,46 @@ def _scalar_inc(mode: str, x_bb: float, y_stmt: float):
     return inc
 
 
-def _edited_stream_finals(
+def _edited_increments(
     trace, edits: Sequence[WhatIfEdit], mode: str,
     x_bb: float, y_stmt: float,
-) -> List[float]:
-    """Per-event edited clock replay (the independent oracle path).
+) -> List[Callable]:
+    """Per-location edited increment callables (the independent oracle).
 
-    Mirrors :func:`repro.clocks.streaming.stream_clock_replay`'s state
-    machine over ``trace.merged()`` with per-event scale factors tracked
-    through a live region stack -- no columnar arrays, no replay plan.
+    Each callable tracks its location's live ENTER/LEAVE region stack and
+    scales the event's work fields by the factor of the stack *before*
+    the event -- the attribution of :func:`_event_scales`, re-derived
+    event by event instead of from the columnar arrays.
     """
-    region_edits, rank_factors = _region_edit_plan(edits, trace.regions)
-    n = trace.n_locations
+    plan = _region_edit_plan(edits, trace.regions)
     inc = _scalar_inc(mode, x_bb, y_stmt)
 
-    rank_f = [rank_factors.get(trace.locations[loc][0], 1.0)
-              for loc in range(n)]
-    applicable: List[Dict[int, float]] = []
-    for loc in range(n):
-        rank = trace.locations[loc][0]
-        f_of: Dict[int, float] = {}
-        for rid, e in region_edits:
-            if e.rank is None or e.rank == rank:
-                f_of[rid] = f_of.get(rid, 1.0) * e.factor
-        applicable.append(f_of)
-    depth: List[Dict[int, int]] = [{rid: 0 for rid in applicable[loc]}
-                                   for loc in range(n)]
-    stacks: List[List[int]] = [[] for _ in range(n)]
+    def for_location(loc: int):
+        rank_f, f_of = _location_factors(plan, trace.locations[loc][0])
+        depth = {rid: 0 for rid in f_of}
+        stack: List[int] = []
 
-    counter = [0.0] * n
-    send_clock: Dict[int, float] = {}
-    fork_clock: Dict[int, float] = {}
-    groups: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
+        def increment(ev) -> float:
+            et = ev.etype
+            s = rank_f
+            for rid, d in depth.items():
+                if d:
+                    s *= f_of[rid]
+            if et == BURST and ev.region in f_of and not depth[ev.region]:
+                s *= f_of[ev.region]
+            if et == ENTER:
+                stack.append(ev.region)
+                if ev.region in depth:
+                    depth[ev.region] += 1
+            elif et == LEAVE and stack:
+                rid = stack.pop()
+                if rid in depth:
+                    depth[rid] -= 1
+            return inc(ev.delta, s)
 
-    for loc, ev in trace.merged():
-        et = ev.etype
-        s = rank_f[loc]
-        dep = depth[loc]
-        for rid, d in dep.items():
-            if d:
-                s *= applicable[loc][rid]
-        if et == BURST and ev.region in applicable[loc] \
-                and not dep.get(ev.region):
-            s *= applicable[loc][ev.region]
-        c = counter[loc] + inc(ev.delta, s)
+        return increment
 
-        if et == ENTER:
-            stacks[loc].append(ev.region)
-            if ev.region in dep:
-                dep[ev.region] += 1
-            counter[loc] = c
-            continue
-        if et == LEAVE:
-            if stacks[loc]:
-                rid = stacks[loc].pop()
-                if rid in dep:
-                    dep[rid] -= 1
-            counter[loc] = c
-            continue
-
-        if et == MPI_SEND:
-            counter[loc] = c
-            send_clock[ev.aux[0]] = c
-        elif et == MPI_RECV:
-            partner = send_clock.pop(ev.aux)
-            counter[loc] = max(c, partner + 1.0)
-        elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
-            gid, size = ev.aux
-            key = (et, gid)
-            members = groups.setdefault(key, [])
-            members.append((loc, c))
-            counter[loc] = c
-            if len(members) == size:
-                m = max(pre for (_l, pre) in members)
-                for (l2, _pre) in members:
-                    counter[l2] = m
-                del groups[key]
-        elif et == FORK:
-            counter[loc] = c
-            fork_clock[ev.aux] = c
-        elif et == TEAM_BEGIN:
-            counter[loc] = max(c, fork_clock[ev.aux] + 1.0)
-        else:
-            counter[loc] = c
-
-    if groups:
-        raise AssertionError(
-            f"{len(groups)} incomplete synchronisation groups in oracle "
-            "replay"
-        )
-    return counter
+    return [for_location(loc) for loc in range(trace.n_locations)]
 
 
 def validate_whatif(
@@ -436,13 +382,14 @@ def validate_whatif(
     return the fresh :class:`~repro.measure.trace.RawTrace`; for a
     deterministic program it is bit-identical to the trace the
     prediction was computed from.  The oracle applies ``result.edits``
-    through an independent scalar per-event replay over the fresh trace
-    and compares every location's final clock **bit for bit** with the
+    through independent scalar per-event increments, replays the fresh
+    trace with the stream walk of :mod:`repro.clocks.streaming`, and
+    compares every location's final clock **bit for bit** with the
     vectorized prediction.
     """
     fresh = rerun()
-    oracle = _edited_stream_finals(fresh, result.edits, result.mode,
-                                   x_bb, y_stmt)
+    oracle, _counts = _stream_walk(fresh, _edited_increments(
+        fresh, result.edits, result.mode, x_bb, y_stmt))
     predicted = result.final
     ok = len(oracle) == len(predicted) and all(
         o == p for o, p in zip(oracle, predicted)

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.machine.noise import CounterNoise, NoiseConfig
-from repro.measure.config import LTHWCTR, TSC, validate_mode
+from repro.machine.noise import NoiseConfig
+from repro.measure.config import validate_mode
 from repro.measure.trace import RawTrace
-from repro.util.rng import RngStreams
 
-__all__ = ["TimestampedTrace", "timestamp_trace"]
+__all__ = ["TimestampedTrace", "final_clocks", "timestamp_trace"]
 
 
 @dataclass
@@ -46,12 +45,16 @@ class TimestampedTrace:
                 )
 
 
+def final_clocks(times: Sequence[np.ndarray]) -> List[float]:
+    """Last timestamp per location (``0.0`` for an empty location)."""
+    return [float(t[-1]) if len(t) else 0.0 for t in times]
+
+
 def timestamp_trace(
     trace: RawTrace,
     mode: Optional[str] = None,
     counter_seed: int = 0,
     counter_noise_config: Optional[NoiseConfig] = None,
-    impl: Optional[str] = None,
 ) -> TimestampedTrace:
     """Assign timestamps to ``trace`` under ``mode``.
 
@@ -61,48 +64,20 @@ def timestamp_trace(
     repetition seed to reproduce the paper's five-repetition studies;
     a ``ZeroNoise`` config makes the counter exact).
 
-    ``impl`` selects the replay engine: ``"columnar"`` (the vectorized
-    segment replay over the trace's structure-of-arrays view, see
-    :mod:`repro.clocks.columnar`) or ``"legacy"`` (the per-event walk).
-    Both produce bit-identical timestamps; the default (``None``) uses the
-    columnar engine and falls back to the per-event walk for traces whose
-    payloads cannot be converted to columns.
+    The replay runs over the trace's columnar view (the vectorized
+    segment replay of :mod:`repro.clocks.columnar`); a hand-built trace
+    whose payloads do not convert to columns raises
+    :class:`~repro.measure.columnar.ColumnarConversionError`.
     """
-    from repro.clocks.hwcounter import HwCounterIncrement
-    from repro.clocks.increments import make_increment
-    from repro.clocks.lamport import LamportClock
-    from repro.clocks.physical import physical_times
-    from repro.measure.columnar import ColumnarConversionError
+    from repro.clocks.columnar import timestamp_columns
 
     mode = validate_mode(mode or trace.mode)
-    if impl not in (None, "columnar", "legacy"):
-        raise ValueError(f"unknown replay impl {impl!r}; expected columnar/legacy")
-    if impl != "legacy":
-        try:
-            cols = trace.columns()
-        except ColumnarConversionError:
-            if impl == "columnar":
-                raise
-        else:
-            from repro.clocks.columnar import timestamp_columns
-
-            with obs.span("replay", mode=mode, impl="columnar"):
-                times = timestamp_columns(
-                    cols, mode,
-                    counter_seed=counter_seed,
-                    counter_noise_config=counter_noise_config,
-                )
-            obs.counter("clocks.replays", mode=mode, impl="columnar").inc()
-            return TimestampedTrace(trace, times, mode)
-    with obs.span("replay", mode=mode, impl="legacy"):
-        if mode == TSC:
-            times = physical_times(trace)
-        elif mode == LTHWCTR:
-            cfg = (counter_noise_config if counter_noise_config is not None
-                   else NoiseConfig())
-            noise = CounterNoise(RngStreams(counter_seed), cfg)
-            times = LamportClock(HwCounterIncrement(trace, noise)).assign(trace)
-        else:
-            times = LamportClock(make_increment(mode)).assign(trace)
-    obs.counter("clocks.replays", mode=mode, impl="legacy").inc()
+    cols = trace.columns()
+    with obs.span("replay", mode=mode):
+        times = timestamp_columns(
+            cols, mode,
+            counter_seed=counter_seed,
+            counter_noise_config=counter_noise_config,
+        )
+    obs.counter("clocks.replays", mode=mode).inc()
     return TimestampedTrace(trace, times, mode)

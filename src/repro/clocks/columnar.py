@@ -1,9 +1,10 @@
 """Vectorized clock replay over columnar (structure-of-arrays) traces.
 
-The per-event replay in :mod:`repro.clocks.lamport` walks every event of
-the merged trace through Python, paying for a heap pop, an increment
-callable and a NumPy scalar write per event.  This module exploits the
-structure of the Lamport replay instead:
+This is the kernel that timestamps every trace held in memory.  A
+per-event Lamport replay walks every event of the merged trace through
+Python, paying for a heap pop, an increment callable and a NumPy scalar
+write per event.  This module exploits the structure of the Lamport
+replay instead:
 
 * Between synchronisation events a location's clock is a plain running
   sum of its work increments, so the increments are computed **in bulk**
@@ -15,16 +16,16 @@ structure of the Lamport replay instead:
   are walked in merged order, performing the ``max``-exchanges of
   Algorithm 1.
 
-The result is **bit-identical** to :class:`~repro.clocks.lamport.
-LamportClock` for every mode: ``itertools.accumulate`` performs exactly
-the sequential left-to-right float additions the legacy loop performs,
-the merged order of the
+The result is **bit-identical** to the per-event replay (the scalar
+``LamportClock`` oracle kept with the tests) for every mode:
+``itertools.accumulate`` performs exactly the sequential left-to-right
+float additions the per-event loop performs, the merged order of the
 synchronisation events is the same ``(t, loc)``-heap order, and the
 group-completion counter overwrite is replayed at the exact merged
-position at which the legacy loop performs it (including the corner case
-of a member recording further events between its own completion record
-and the group's last arrival).  ``tests/test_columnar.py`` locks this
-equivalence for all six modes.
+position at which the per-event loop performs it (including the corner
+case of a member recording further events between its own completion
+record and the group's last arrival).  ``tests/test_columnar.py`` locks
+this equivalence for all six modes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.measure.config import (
 from repro.sim.events import (
     COLL_END,
     FORK,
-    MPI_RECV,
     MPI_SEND,
     OBAR_LEAVE,
     RESTART,
@@ -237,7 +237,7 @@ def _build_replay_plan(cols: TraceColumns):
     if groups:
         raise AssertionError(
             f"{len(groups)} incomplete synchronisation groups at end of "
-            f"trace (first keys: {_legacy_group_keys(groups)})"
+            f"trace (first keys: {_group_keys(groups)})"
         )
     return records, last
 
@@ -257,8 +257,8 @@ def lamport_assign_columnar(
 ) -> List[np.ndarray]:
     """Logical timestamps per location (Algorithm 1, segment-vectorized).
 
-    Equivalent to ``LamportClock(inc).assign(trace)`` with per-event
-    increments matching ``increments``; see the module docstring for the
+    Equivalent to the per-event replay with per-event increments
+    matching ``increments``; see the module docstring for the
     equivalence argument.  Executes the trace's compiled replay plan
     (:func:`_build_replay_plan`): per record, a sequential fill of the
     work stretch in front of the synchronisation event followed by one of
@@ -274,7 +274,7 @@ def lamport_assign_columnar(
 def _execute_plan(cols, records, tails, increments):
     """The fill walk proper; returns (timestamps, repaired-receive count)."""
     inc_lists = [arr.tolist() for arr in increments]
-    times: List[list] = [[0.0] * len(l) for l in inc_lists]
+    times: List[list] = [[0.0] * len(il) for il in inc_lists]
     clock = [0.0] * cols.n_locations
     val = [0.0] * len(records)  # published clock value per plan record
     val_get = val.__getitem__
@@ -335,8 +335,8 @@ def _execute_plan(cols, records, tails, increments):
     return out, repaired
 
 
-def _legacy_group_keys(groups) -> list:
-    """Format leftover group keys the way the per-event replay does."""
+def _group_keys(groups) -> list:
+    """Format leftover group keys the way the stream walk does."""
     return [
         ("c" if et == COLL_END else "b" if et == OBAR_LEAVE else "r", gid)
         for (et, gid) in list(groups)[:3]

@@ -27,7 +27,7 @@ __all__ = ["LazyLamportClock"]
 
 
 class LazyLamportClock:
-    """Deferred-merge variant of :class:`repro.clocks.lamport.LamportClock`."""
+    """Deferred-merge variant of the eager Lamport replay (Algorithm 1)."""
 
     def __init__(self, increment: Callable[[Ev], float]):
         self._increment = increment

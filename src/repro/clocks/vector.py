@@ -6,6 +6,9 @@ the vector clock as a remedy.  This module provides a reference vector
 clock replay over the same event model, primarily for correctness studies
 and tests: ``happens_before`` answers exact causality queries that a
 scalar Lamport timestamp can only approximate in one direction.
+Collective, OpenMP-barrier and restart groups are joins: every member
+takes the group's elementwise maximum (a restart is the coordinated,
+job-wide rollback of :mod:`repro.sim.recovery`).
 
 Storage is O(events x locations); use on small traces.
 """
@@ -17,7 +20,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.measure.trace import RawTrace
-from repro.sim.events import COLL_END, FORK, MPI_RECV, MPI_SEND, OBAR_LEAVE, TEAM_BEGIN
+from repro.sim.events import COLL_END, FORK, MPI_RECV, MPI_SEND, OBAR_LEAVE, RESTART, TEAM_BEGIN
 
 __all__ = ["VectorClock"]
 
@@ -54,9 +57,10 @@ class VectorClock:
                 np.maximum(v, fork_vec[ev.aux], out=v)
             self.vectors[loc].append(v.copy())
 
-            if et in (COLL_END, OBAR_LEAVE):
+            if et == COLL_END or et == OBAR_LEAVE or et == RESTART:
                 gid, size = ev.aux
-                key = ("c" if et == COLL_END else "b", gid)
+                key = ("c" if et == COLL_END else "b" if et == OBAR_LEAVE
+                       else "r", gid)
                 members = groups.setdefault(key, [])
                 members.append((loc, len(self.vectors[loc]) - 1))
                 if len(members) == size:

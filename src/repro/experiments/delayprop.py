@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.causal.whatif import REPLAYABLE_MODES, drop_region, run_whatif
-from repro.clocks import timestamp_trace
+from repro.clocks import final_clocks, timestamp_trace
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.machine.presets import small_test_cluster
 from repro.measure import Measurement
@@ -217,9 +217,7 @@ def run_delay_propagation(
             whatif_ok = {}
             for wmode in REPLAYABLE_MODES:
                 res = run_whatif(delayed, [drop_region(DELAY_REGION)], wmode)
-                from repro.clocks.streaming import stream_clock_replay
-
-                base_final = stream_clock_replay(baseline, wmode).final
+                base_final = final_clocks(timestamp_trace(baseline, wmode).times)
                 whatif_ok[wmode] = res.final == base_final
     first = deviation[seeds[0]]
     seed_invariant = all(deviation[s] == first for s in seeds[1:])

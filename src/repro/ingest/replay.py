@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.clocks.base import timestamp_trace
+from repro.clocks.base import final_clocks, timestamp_trace
 from repro.machine.noise import NoiseConfig, NoiseModel, ZeroNoise
 from repro.machine.presets import small_test_cluster
 from repro.measure import Measurement
@@ -39,7 +39,7 @@ def replay_clock_finals(trace: RawTrace, mode: Optional[str] = None,
     ``0.0``.
     """
     stamped = timestamp_trace(trace, mode=mode, counter_seed=counter_seed)
-    return [times[-1] if len(times) else 0.0 for times in stamped.times]
+    return final_clocks(stamped.times)
 
 
 def make_replay_cluster(n_ranks: int, threads_per_rank: int = 1):

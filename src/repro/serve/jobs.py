@@ -132,13 +132,13 @@ def _load_trace(path: str):
 
 def _op_replay(archive_path: str, params: dict, _extra) -> dict:
     """Clock replay: final per-location clock values under ``mode``."""
-    from repro.clocks import timestamp_trace
+    from repro.clocks import final_clocks, timestamp_trace
 
     trace = _load_trace(archive_path)
     mode = params.get("mode") or trace.mode
     tt = timestamp_trace(trace, mode,
                          counter_seed=int(params.get("counter_seed", 0)))
-    finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
+    finals = final_clocks(tt.times)
     return {
         "mode": tt.mode,
         "n_events": trace.n_events,

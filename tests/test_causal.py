@@ -178,6 +178,15 @@ class TestWhatIf:
         assert v.ok, f"max |diff| {v.max_abs_diff}"
         assert v.max_abs_diff == 0.0
 
+    def test_validator_catches_wrong_prediction(self, minife_trace):
+        edits = [scale_region("cg_spmv", 2.0)]
+        res = run_whatif(minife_trace, edits, "ltbb")
+        res.final[1] += 1.0
+        v = validate_whatif(
+            res, lambda: _run_trace(_apps()["minife"], "tsc", seed=1))
+        assert v.ok is False
+        assert v.max_abs_diff > 0.0
+
     def test_scaling_up_slows_down(self, minife_trace):
         res = run_whatif(minife_trace, [scale_region("matvec", 2.0)], "ltbb")
         assert res.makespan > res.baseline_makespan

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.clocks import (
-    LamportClock,
     LazyLamportClock,
     SyncMechanism,
     VectorClock,
@@ -31,8 +30,9 @@ from repro.sim import (
     Recv,
     Send,
 )
-from repro.sim.events import Ev, ENTER
+from repro.sim.events import Ev, ENTER, RESTART
 from repro.sim.kernels import WorkDelta
+from tests.oracles import LamportClock, faulted_ring_trace
 
 K = KernelSpec("k", flops_per_unit=1e5, omp_iters_per_unit=1.0, bb_per_unit=5,
                stmt_per_unit=15, instr_per_unit=40, memory_scope="none")
@@ -194,6 +194,22 @@ class TestVectorClock:
                 for ib in range(0, len(comm_trace.events[lb]), 3):
                     if vc.happens_before((la, ia), (lb, ib)):
                         assert lt[la][ia] < lt[lb][ib]
+
+
+    def test_restart_is_a_job_wide_join(self):
+        # The restart protocol re-synchronises every rank, like the
+        # Lamport replay's restart group: the last event before a rank's
+        # first RESTART precedes every other rank's first event after it.
+        trace = faulted_ring_trace(99)
+        first_restart = [
+            next(i for i, ev in enumerate(evs) if ev.etype == RESTART)
+            for evs in trace.events
+        ]
+        assert trace.n_locations == 4
+        vc = VectorClock(trace)
+        pairs = [((la, first_restart[la] - 1), (lb, first_restart[lb] + 1))
+                 for la in range(4) for lb in range(4) if la != lb]
+        assert sum(vc.happens_before(a, b) for a, b in pairs) == len(pairs) == 12
 
 
 class TestLazyLamport:

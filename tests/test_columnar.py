@@ -1,9 +1,10 @@
 """Columnar traces and the vectorized clock replay.
 
-Locks the PR's central equivalence claims: the structure-of-arrays view
+Locks the central equivalence claims: the structure-of-arrays view
 round-trips exactly, the segment-vectorized Lamport replay is
-bit-identical to the per-event walk for all six modes on real MPI+OpenMP
-traces, the npz archive format round-trips, and the vectorized pattern
+bit-identical to the per-event ``LamportClock`` oracle for all six modes
+on real MPI+OpenMP traces and on recovered traces with restart groups,
+the npz archive format round-trips, and the vectorized pattern
 formulas match their scalar definitions element for element.
 """
 
@@ -36,8 +37,9 @@ from repro.measure.columnar import TraceColumns
 from repro.miniapps.minife import MiniFE, MiniFEConfig
 from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
 from repro.sim import CostModel, Engine
-from repro.sim.events import ENTER, LEAVE, MPI_RECV, Ev, RegionRegistry
+from repro.sim.events import ENTER, LEAVE, MPI_RECV, RESTART, Ev, RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
+from tests.oracles import FAULT_SEEDS, faulted_ring_trace, oracle_times
 
 
 def _run(app, seed=1):
@@ -89,43 +91,48 @@ class TestTraceColumns:
             TraceColumns.from_raw(trace)
 
 
+@pytest.fixture(scope="module")
+def faulted_traces():
+    """fault seed -> recovered CheckpointedRing trace (RESTART groups)."""
+    return {fs: faulted_ring_trace(fs) for fs in FAULT_SEEDS}
+
+
+def _assert_matches_oracle(trace, mode, counter_seed):
+    want = oracle_times(trace, mode, counter_seed=counter_seed)
+    got = timestamp_trace(trace, mode, counter_seed=counter_seed)
+    assert len(got.times) == len(want)
+    for a, b in zip(want, got.times):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestReplayEquivalence:
     @pytest.mark.parametrize("mode", MODES)
     def test_minife_bit_identical(self, minife_trace, mode):
-        legacy = timestamp_trace(minife_trace, mode, counter_seed=7,
-                                 impl="legacy")
-        columnar = timestamp_trace(minife_trace, mode, counter_seed=7,
-                                   impl="columnar")
-        for a, b in zip(legacy.times, columnar.times):
-            np.testing.assert_array_equal(a, b)
+        _assert_matches_oracle(minife_trace, mode, counter_seed=7)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tealeaf_bit_identical(self, tealeaf_trace, mode):
-        legacy = timestamp_trace(tealeaf_trace, mode, counter_seed=3,
-                                 impl="legacy")
-        columnar = timestamp_trace(tealeaf_trace, mode, counter_seed=3,
-                                   impl="columnar")
-        for a, b in zip(legacy.times, columnar.times):
-            np.testing.assert_array_equal(a, b)
+        _assert_matches_oracle(tealeaf_trace, mode, counter_seed=3)
 
-    def test_default_uses_columnar_and_falls_back(self):
-        # A trace the converter rejects (string aux) must still timestamp
-        # via the per-event walk under the default impl...
+    @pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_faulted_ring_bit_identical(self, faulted_traces, mode,
+                                        fault_seed):
+        trace = faulted_traces[fault_seed]
+        assert any(ev.etype == RESTART for evs in trace.events for ev in evs)
+        _assert_matches_oracle(trace, mode, counter_seed=5)
+
+    def test_nonconvertible_trace_raises_typed_error(self):
+        # A hand-built trace the converter rejects (string aux) has no
+        # replay path: the typed conversion error reaches the caller.
         regions = RegionRegistry()
         rid = regions.intern("main", "user")
         evs = [Ev(ENTER, rid, 0.5, WorkDelta(bb=2.0), aux=None),
                Ev(LEAVE, rid, 1.0, EMPTY_DELTA, aux="odd")]
         trace = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
                          events=[evs])
-        tt = timestamp_trace(trace, "ltbb")
-        assert [list(t) for t in tt.times] == [[3.0, 4.0]]
-        # ...while an explicit columnar request surfaces the conversion error.
         with pytest.raises(ColumnarConversionError):
-            timestamp_trace(trace, "ltbb", impl="columnar")
-
-    def test_unknown_impl_rejected(self, minife_trace):
-        with pytest.raises(ValueError, match="replay impl"):
-            timestamp_trace(minife_trace, "lt1", impl="simd")
+            timestamp_trace(trace, "ltbb")
 
 
 class TestNpzArchive:

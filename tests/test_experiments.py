@@ -80,3 +80,21 @@ class TestReportHelpers:
     def test_fig1_needs_no_simulation(self):
         _data, text = reports.fig1_metric_tree()
         assert "wait_nxn" in text
+
+
+class TestOmpEffortFit:
+    def test_minife_fit_is_pinned(self):
+        # Exact values of the X/Y constant fit (float equality): the fit
+        # re-timestamps one trace per mode repeatedly, so any change to
+        # the clock replay's arithmetic shows up here.
+        from repro.experiments.fitting import fit_omp_effort_constants
+
+        got = fit_omp_effort_constants(experiment="MiniFE-1", seed=0,
+                                       iterations=2)
+        assert got == {
+            "x_bb": 279.3464053463945,
+            "y_stmt": 851.4488792356093,
+            "target_omp_fraction": 8.832211715617019e-06,
+            "x_omp_fraction": 8.748362781808805e-06,
+            "y_omp_fraction": 1.1151142277399113e-05,
+        }

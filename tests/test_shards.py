@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import analyze_trace
 from repro.analysis.analyzer import analyze_stream
-from repro.clocks import timestamp_trace
+from repro.clocks import final_clocks, timestamp_trace
 from repro.clocks.streaming import stream_clock_replay
 from repro.machine import small_test_cluster
 from repro.machine.noise import NoiseConfig, NoiseModel
@@ -20,7 +20,6 @@ from repro.measure import Measurement
 from repro.measure.config import MODES
 from repro.measure.io import read_manifest, read_trace, write_trace
 from repro.measure.shards import (
-    MANIFEST_NAME,
     open_sharded_trace,
     read_shard_manifest,
     write_sharded_trace,
@@ -31,6 +30,7 @@ from repro.sim.events import MPI_SEND
 from repro.verify import sanitize_raw
 from repro.verify.races import find_races
 from repro.verify.sanitizer import sanitize_stream
+from tests.oracles import FAULT_SEEDS, faulted_ring_trace
 
 SHARD_EVENTS = 256  # far below the fixture's ~1.7k events -> multi-shard
 
@@ -53,6 +53,15 @@ def archive(trace, tmp_path):
     write_sharded_trace(trace, path, shard_events=SHARD_EVENTS,
                         manifest={"kind": "test-run"})
     return path
+
+
+def _assert_stream_matches_full(trace, sharded, mode):
+    tt = timestamp_trace(trace, mode, counter_seed=2)
+    summary = stream_clock_replay(sharded, mode, counter_seed=2)
+    assert summary.n_events == [len(t) for t in tt.times]
+    finals = final_clocks(tt.times)
+    assert summary.final == finals  # bit-identical, no tolerance
+    assert summary.max_clock == max(finals)
 
 
 def _sig(trace_like):
@@ -160,13 +169,18 @@ class TestStreamingConsumers:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stream_clock_replay_matches_full_replay(self, trace, archive, mode):
-        st = open_sharded_trace(archive)
-        tt = timestamp_trace(trace, mode, counter_seed=2)
-        summary = stream_clock_replay(st, mode, counter_seed=2)
-        assert summary.n_events == [len(t) for t in tt.times]
-        finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
-        assert summary.final == finals  # bit-identical, no tolerance
-        assert summary.max_clock == max(finals)
+        _assert_stream_matches_full(trace, open_sharded_trace(archive), mode)
+
+    @pytest.mark.parametrize("fault_seed", FAULT_SEEDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stream_clock_replay_restart_groups(self, tmp_path, mode,
+                                                fault_seed):
+        # recovered traces carry RESTART groups (job-wide joins); tiny
+        # shards make the groups straddle shard boundaries
+        trace = faulted_ring_trace(fault_seed)
+        path = tmp_path / "faulted.shards"
+        write_sharded_trace(trace, path, shard_events=64)
+        _assert_stream_matches_full(trace, open_sharded_trace(path), mode)
 
     def test_analyze_stream_matches_analyze_trace(self, trace, archive):
         st = open_sharded_trace(archive)
