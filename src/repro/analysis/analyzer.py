@@ -75,33 +75,29 @@ def _classify(name: str) -> int:
 
 def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     """Analyze ``tt`` and return the profile (severities in clock units)."""
-    trace = tt.trace
-    ts = tt.times
-    ev_index = [0] * trace.n_locations
-
-    def stream():
-        for loc, ev in trace.merged():
-            i = ev_index[loc]
-            ev_index[loc] = i + 1
-            yield loc, ev, float(ts[loc][i])
-
+    cols = tt.trace.columns()
     return analyze_stream(
-        stream(),
+        cols.rows(tt.times),
         mode=tt.mode,
-        regions=trace.regions,
-        locations=trace.locations,
-        pinning=trace.pinning,
+        regions=cols.regions,
+        locations=cols.locations,
+        pinning=cols.pinning,
     )
 
 
-def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubeProfile:
-    """Wait-state analysis over a merged-order ``(loc, ev, t)`` stream.
+def analyze_stream(rows, *, mode, regions, locations, pinning=None) -> CubeProfile:
+    """Wait-state analysis over merged-order event rows.
 
-    The streaming core of :func:`analyze_trace`: walker state is bounded
-    by locations x call paths plus in-flight synchronisation groups, so
-    an out-of-core archive (:class:`repro.measure.shards.ShardedTrace`)
-    can be analyzed without materializing the whole trace -- feed it
-    ``(loc, ev, ev.t)`` for a physical-time (tsc) analysis.
+    ``rows`` yields ``(loc, etype, region, aux_a, aux_b, t)`` in global
+    merged order, with ``t`` in the clock's units and ``aux_a``/``aux_b``
+    the columnar payload (:mod:`repro.measure.columnar`).  The streaming
+    core of :func:`analyze_trace`, which feeds it
+    :meth:`~repro.measure.columnar.TraceColumns.rows`: walker state is
+    bounded by locations x call paths plus in-flight synchronisation
+    groups, so an out-of-core archive can be analyzed without
+    materializing the whole trace -- feed it
+    :meth:`repro.measure.shards.ShardedTrace.rows` for a physical-time
+    (tsc) analysis.
     """
     n_loc = len(locations)
 
@@ -172,8 +168,7 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
 
     add = profile.add_id
 
-    for loc, ev, t in events:
-        et = ev.etype
+    for loc, et, region, aux_a, aux_b, t in rows:
         rank = loc_rank[loc]
         master = is_master[loc]
 
@@ -190,8 +185,8 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
             kind = kstack[-1]
             cpid = cp_stack[loc][-1]
             if et == BURST:
-                name, _k = region_info(ev.region)
-                cpid = child_cp(cp_stack[loc][-1], ev.region, path_stack[loc][-1], name)
+                name, _k = region_info(region)
+                cpid = child_cp(cp_stack[loc][-1], region, path_stack[loc][-1], name)
                 add(M.COMP, cpid, loc, dt)
             elif kind == _K_USER or kind == _K_OMP_FOR:
                 add(M.COMP, cpid, loc, dt)
@@ -213,9 +208,9 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
 
         # ---- stack / pattern effects of the event itself ----
         if et == ENTER:
-            name, kind = region_info(ev.region)
+            name, kind = region_info(region)
             parent = cp_stack[loc][-1]
-            cpid = child_cp(parent, ev.region, path_stack[loc][-1], name)
+            cpid = child_cp(parent, region, path_stack[loc][-1], name)
             cp_stack[loc].append(cpid)
             path_stack[loc].append(path_stack[loc][-1] + (name,))
             kind_stack[loc].append(kind)
@@ -230,12 +225,11 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
             path_stack[loc].pop()
             kind_stack[loc].pop()
             enter_stack[loc].pop()
-        elif et == MPI_SEND:
-            match_id, rndv = ev.aux
+        elif et == MPI_SEND:  # aux: (match id, rendezvous flag)
             snap = dict(epoch[rank]) if master else {}
-            sends[match_id] = (t, loc, cp_stack[loc][-1], rndv, snap, rank)
-        elif et == MPI_RECV:
-            send_ts, send_loc, send_cp, rndv, send_snap, _send_rank = sends.pop(ev.aux)
+            sends[aux_a] = (t, loc, cp_stack[loc][-1], aux_b, snap, rank)
+        elif et == MPI_RECV:  # aux: match id
+            send_ts, send_loc, send_cp, rndv, send_snap, _send_rank = sends.pop(aux_a)
             recv_enter = enter_stack[loc][-1]
             cpid = cp_stack[loc][-1]
             w = late_sender_wait(send_ts, recv_enter, t)
@@ -250,40 +244,38 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
                 if wlr > 0.0:
                     key = (send_cp, send_loc)
                     lr_wait[key] = lr_wait.get(key, 0.0) + wlr
-        elif et == COLL_END:
-            coll_id, size = ev.aux
-            name, _kind = region_info(ev.region)
+        elif et == COLL_END:  # aux: (collective id, group size)
+            name, _kind = region_info(region)
             grp = coll_groups.setdefault(
-                coll_id, {"size": size, "members": [], "barrier": name == "MPI_Barrier"}
+                aux_a, {"size": aux_b, "members": [], "barrier": name == "MPI_Barrier"}
             )
             snap = dict(epoch[rank])
             epoch[rank] = {}
             grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t, snap))
-            if len(grp["members"]) == size:
+            if len(grp["members"]) == aux_b:
                 _finish_collective(profile, grp, coll_wait_cells)
-                del coll_groups[coll_id]
-        elif et == FORK:
-            fork_info[ev.aux] = (path_stack[loc][-1], cp_stack[loc][-1])
+                del coll_groups[aux_a]
+        elif et == FORK:  # aux: omp id
+            fork_info[aux_a] = (path_stack[loc][-1], cp_stack[loc][-1])
         elif et == JOIN:
             pass
-        elif et == TEAM_BEGIN:
-            base_path, base_cp = fork_info[ev.aux]
+        elif et == TEAM_BEGIN:  # aux: omp id
+            base_path, base_cp = fork_info[aux_a]
             cp_stack[loc] = [base_cp]
             path_stack[loc] = [base_path]
             kind_stack[loc] = [_K_OMP_PAR]
             enter_stack[loc] = [t]
             worker_idle[loc] = False
         elif et == OBAR_ENTER:
-            name, kind = region_info(ev.region)
+            name, kind = region_info(region)
             parent = cp_stack[loc][-1]
-            cpid = child_cp(parent, ev.region, path_stack[loc][-1], name)
+            cpid = child_cp(parent, region, path_stack[loc][-1], name)
             cp_stack[loc].append(cpid)
             path_stack[loc].append(path_stack[loc][-1] + (name,))
             kind_stack[loc].append(kind)
             enter_stack[loc].append(t)
-        elif et == OBAR_LEAVE:
-            omp_id, size = ev.aux
-            grp = bar_groups.setdefault(omp_id, {"size": size, "members": []})
+        elif et == OBAR_LEAVE:  # aux: (omp id, team size)
+            grp = bar_groups.setdefault(aux_a, {"size": aux_b, "members": []})
             grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t))
             cp_stack[loc].pop()
             path_stack[loc].pop()
@@ -293,9 +285,9 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
                 # The implicit barrier ends the worker's participation in
                 # this construct; it idles until the next TEAM_BEGIN.
                 worker_idle[loc] = True
-            if len(grp["members"]) == size:
+            if len(grp["members"]) == aux_b:
                 _finish_barrier(profile, grp)
-                del bar_groups[omp_id]
+                del bar_groups[aux_a]
         # BURST: no stack effect (interval already attributed above)
 
     if coll_groups or bar_groups:

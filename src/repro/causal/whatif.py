@@ -167,14 +167,6 @@ class WhatIfValidation:
         return {"ok": self.ok, "max_abs_diff": self.max_abs_diff}
 
 
-def _trace_columns(trace_like):
-    """Columnar view of a RawTrace or ShardedTrace."""
-    columns = getattr(trace_like, "columns", None)
-    if columns is not None:
-        return columns()
-    return trace_like.to_raw().columns()
-
-
 # ---------------------------------------------------------------------------
 # edit application: per-event scale factors
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ def run_whatif(
             f"{REPLAYABLE_MODES}, not {mode!r}"
         )
     edits = tuple(edits)
-    cols = _trace_columns(trace_like)
+    cols = trace_like.columns()  # RawTrace or ShardedTrace
     base_inc = columnar_increments(cols, mode, x_bb=x_bb, y_stmt=y_stmt)
     base_times = lamport_assign_columnar(cols, base_inc)
     scales = _event_scales(cols, edits)

@@ -160,8 +160,13 @@ def _build_replay_plan(cols: TraceColumns):
     the errors the per-event replay raises for malformed traces (receive
     before send, team begin without fork, incomplete groups).
     """
-    t_lists = cols.t_lists()
-    t_arrays = [lc.t for lc in cols.locs]
+    s_loc, s_idx, s_et, s_a, s_b = cols.sync_order()
+    # the merge key of every event (per-location running max of t, see
+    # TraceColumns.merged_order): sorted per location even where t is
+    # not, so a searchsorted on it counts the events the merged walk
+    # visits before a given one
+    key_arrays = [np.maximum.accumulate(lc.t) for lc in cols.locs]
+    key_lists = [k.tolist() for k in key_arrays]  # fast scalar reads
     last = [-1] * cols.n_locations  # highest event index already planned
     send_pos = {}
     fork_pos = {}
@@ -169,7 +174,6 @@ def _build_replay_plan(cols: TraceColumns):
     groups = {}
     records = []
 
-    s_loc, s_idx, s_et, s_a, s_b, s_t = cols.sync_order()
     for s in range(len(s_loc)):
         loc = s_loc[s]
         i = s_idx[s]
@@ -187,7 +191,7 @@ def _build_replay_plan(cols: TraceColumns):
             if len(grp) < s_b[s]:
                 records.append((loc, i, a, _OP_RECORD, s))
                 continue
-            t_c = s_t[s]
+            key_c = key_lists[loc][i]
             overwrites = []
             for l2, i2, _slot in grp:
                 # The group max lands on member l2 at the exact merged
@@ -198,16 +202,16 @@ def _build_replay_plan(cols: TraceColumns):
                 if l2 == loc:
                     p2 = nxt
                 else:
-                    tl2 = t_lists[l2]
-                    if nxt >= len(tl2):
+                    keys2 = key_lists[l2]
+                    if nxt >= len(keys2):
                         p2 = nxt
                     else:
-                        t_next = tl2[nxt]
-                        if t_next > t_c or (t_next == t_c and l2 > loc):
+                        key_next = keys2[nxt]
+                        if key_next > key_c or (key_next == key_c and l2 > loc):
                             p2 = nxt
                         else:
                             p2 = int(np.searchsorted(
-                                t_arrays[l2], t_c,
+                                key_arrays[l2], key_c,
                                 side="right" if l2 < loc else "left",
                             ))
                 if p2 > nxt:

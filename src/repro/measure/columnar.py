@@ -12,7 +12,7 @@ a ``(match_id, rendezvous)`` pair for sends, a match id for receives, a
 ``(group_id, size)`` pair for collective and barrier completions, an OpenMP
 construct id for fork/join/team events, and absent otherwise.  Columnar
 storage decomposes it into two integer columns ``aux_a``/``aux_b`` with
-``-1`` marking "no payload"; :meth:`TraceColumns.to_raw` reconstructs the
+``-1`` marking "no payload"; :meth:`TraceColumns.ev_lists` reconstructs the
 exact original Python values from the kind table below.
 
 =============  =========  =========
@@ -31,16 +31,23 @@ RESTART        restart id n_ranks
 
 Conversion is strict: traces whose ``aux`` payloads do not follow the
 engine's conventions (possible for hand-built test traces) raise
-:class:`ColumnarConversionError`, and callers fall back to the per-event
-representation.
+:class:`ColumnarConversionError`; such a trace has no clock replay.
+
+Archive readers build a :class:`TraceColumns` straight from the stored
+columns (:meth:`TraceColumns.from_flat`) and never create an ``Ev``; the
+per-event lists of a :class:`~repro.measure.trace.RawTrace` read from an
+archive are materialized only when an ``Ev`` walker asks for them.  The
+global merged order every replay consumer walks is computed once per
+trace (:meth:`TraceColumns.merged_order`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.sim.events import (
     COLL_END,
     FAULT,
@@ -70,6 +77,12 @@ _PAIR_AUX = (MPI_SEND, COLL_END, OBAR_LEAVE, RESTART)
 _SCALAR_AUX = (MPI_RECV, FORK, JOIN, TEAM_BEGIN, FAULT)
 
 _DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+_INT_FIELDS = ("etype", "region", "aux_a", "aux_b")
+#: every column, in archive order
+_COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b") + _DELTA_FIELDS
+
+#: rows per chunk of :meth:`TraceColumns.rows` (bounds its Python lists)
+ROW_CHUNK = 4096
 
 _INT_TYPES = (int, np.integer)
 
@@ -158,6 +171,11 @@ class TraceColumns:
     is the :class:`LocationColumns` of location ``l``.  The object is a
     *snapshot*: mutating the source trace's event lists afterwards is not
     reflected here.
+
+    Whole-trace queries (:meth:`merged_order`, :meth:`rows`,
+    :meth:`sync_order`) index the *flat* event space: every column
+    concatenated over locations, location 0 first (:meth:`flat`,
+    :meth:`offsets`).
     """
 
     def __init__(
@@ -179,8 +197,8 @@ class TraceColumns:
         self.locs = locs
         self.runtime = runtime
         self.pinning = pinning
+        self._merged_order = None
         self._sync_order = None
-        self._t_lists = None
         self._replay_plan = None  # compiled by repro.clocks.columnar
 
     # -- construction ----------------------------------------------------
@@ -196,40 +214,85 @@ class TraceColumns:
             pinning=trace.pinning,
         )
 
+    @classmethod
+    def from_flat(
+        cls,
+        mode: str,
+        regions: RegionRegistry,
+        locations: List[Tuple[int, int]],
+        offsets: np.ndarray,
+        flat: Dict[str, np.ndarray],
+        runtime: float = 0.0,
+    ) -> "TraceColumns":
+        """Columns over location-concatenated arrays (the archive layout).
+
+        ``flat`` maps every column name to one array; location ``l`` owns
+        rows ``offsets[l]:offsets[l + 1]``.  The caller has checked shapes
+        and dtype kinds (:func:`repro.measure.io.read_trace` does).  The
+        columns come out exactly as ``from_raw(to_raw(...))`` would leave
+        them: integer columns ``int64``, float columns ``float64``,
+        ``aux_a``/``aux_b`` ``-1`` on kinds without that payload, and
+        ``-0.0`` work deltas ``0.0``.  Canonical input is not copied.
+        """
+        flat = {f: flat[f].astype(np.int64 if f in _INT_FIELDS else np.float64,
+                                  copy=False)
+                for f in _COLUMN_FIELDS}
+        etype = flat["etype"]
+        for field, kinds in (("aux_a", _PAIR_AUX + _SCALAR_AUX),
+                             ("aux_b", _PAIR_AUX)):
+            stray = (flat[field] != -1) & ~np.isin(etype, kinds)
+            if stray.any():
+                flat[field] = np.where(stray, -1, flat[field])
+        for field in _DELTA_FIELDS:
+            col = flat[field]
+            if np.signbit(col[col == 0.0]).any():
+                flat[field] = np.where(col == 0.0, 0.0, col)
+        bounds = [int(o) for o in offsets]
+        locs = [
+            LocationColumns(**{f: flat[f][a:b] for f in _COLUMN_FIELDS})
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        return cls(mode=mode, regions=regions, locations=locations,
+                   locs=locs, runtime=runtime)
+
     def to_raw(self) -> "RawTrace":
-        """Materialize an equivalent per-event :class:`RawTrace`."""
+        """A :class:`RawTrace` over these columns (``Ev`` lists built lazily)."""
         from repro.measure.trace import RawTrace
 
-        events: List[List[Ev]] = []
-        for lc in self.locs:
-            evs = []
-            etype = lc.etype.tolist()
-            region = lc.region.tolist()
-            t = lc.t.tolist()
-            t_enter = lc.t_enter.tolist()
-            aux_a = lc.aux_a.tolist()
-            aux_b = lc.aux_b.tolist()
-            dlists = [getattr(lc, f).tolist() for f in _DELTA_FIELDS]
-            for i in range(len(lc)):
-                if (dlists[0][i] or dlists[1][i] or dlists[2][i]
-                        or dlists[3][i] or dlists[4][i] or dlists[5][i]):
-                    delta = WorkDelta(*(d[i] for d in dlists))
-                else:
-                    delta = EMPTY_DELTA
-                evs.append(Ev(
-                    etype[i], region[i], t[i], delta,
-                    aux=_reconstruct_aux(etype[i], aux_a[i], aux_b[i]),
-                    t_enter=t_enter[i],
-                ))
-            events.append(evs)
-        return RawTrace(
-            mode=self.mode,
-            regions=self.regions,
-            locations=list(self.locations),
-            events=events,
-            runtime=self.runtime,
-            pinning=self.pinning,
-        )
+        return RawTrace.from_columns(self)
+
+    def ev_lists(self) -> List[List[Ev]]:
+        """Materialize the per-event ``Ev`` lists, one per location.
+
+        The only place a columnar trace turns into ``Ev`` objects; records
+        a ``measure.materialize`` span and adds the event count to the
+        ``measure.events_materialized`` counter.
+        """
+        with obs.span("measure.materialize", events=self.n_events):
+            events: List[List[Ev]] = []
+            for lc in self.locs:
+                evs = []
+                etype = lc.etype.tolist()
+                region = lc.region.tolist()
+                t = lc.t.tolist()
+                t_enter = lc.t_enter.tolist()
+                aux_a = lc.aux_a.tolist()
+                aux_b = lc.aux_b.tolist()
+                dlists = [getattr(lc, f).tolist() for f in _DELTA_FIELDS]
+                for i in range(len(lc)):
+                    if (dlists[0][i] or dlists[1][i] or dlists[2][i]
+                            or dlists[3][i] or dlists[4][i] or dlists[5][i]):
+                        delta = WorkDelta(*(d[i] for d in dlists))
+                    else:
+                        delta = EMPTY_DELTA
+                    evs.append(Ev(
+                        etype[i], region[i], t[i], delta,
+                        aux=_reconstruct_aux(etype[i], aux_a[i], aux_b[i]),
+                        t_enter=t_enter[i],
+                    ))
+                events.append(evs)
+        obs.counter("measure.events_materialized").add(self.n_events)
+        return events
 
     # -- queries ---------------------------------------------------------
     @property
@@ -240,47 +303,97 @@ class TraceColumns:
     def n_events(self) -> int:
         return sum(len(lc) for lc in self.locs)
 
-    def t_lists(self) -> List[List[float]]:
-        """Per-location physical timestamps as plain lists (memoized)."""
-        if self._t_lists is None:
-            self._t_lists = [lc.t.tolist() for lc in self.locs]
-        return self._t_lists
+    def offsets(self) -> np.ndarray:
+        """Flat index of every location's first event, plus the total."""
+        return np.cumsum([0] + [len(lc) for lc in self.locs], dtype=np.int64)
+
+    def flat(self, field: str) -> np.ndarray:
+        """One column concatenated over all locations (a fresh array)."""
+        parts = [getattr(lc, field) for lc in self.locs]
+        if parts:
+            return np.concatenate(parts)
+        return np.empty(0, dtype=np.int64 if field in _INT_FIELDS
+                        else np.float64)
+
+    def locate(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(loc, index in loc)`` of flat event indices ``pos``."""
+        offsets = self.offsets()
+        loc = np.searchsorted(offsets, pos, side="right") - 1
+        return loc, pos - offsets[loc]
+
+    def merged_order(self) -> np.ndarray:
+        """Flat event indices in global merged order (memoized).
+
+        The visit order of :meth:`RawTrace.merged` -- a heap merge by
+        ``(t, loc)`` that keeps every location's own order -- as one
+        stable sort on the per-location *running maximum* of ``t``, ties
+        broken by ``(loc, index)``.  The running maximum matters only for
+        a location whose timestamps go backwards: the heap cannot pop such
+        an event before its predecessor, so it leaves at its predecessor's
+        key.  Mode-independent, so one sort serves every consumer: the
+        analyzer's row feed, :meth:`sync_order` and the shards writer.
+        """
+        if self._merged_order is None:
+            key = self.flat("t")
+            bounds = self.offsets().tolist()
+            for a, b in zip(bounds, bounds[1:]):
+                np.maximum.accumulate(key[a:b], out=key[a:b])
+            self._merged_order = np.argsort(key, kind="stable")
+        return self._merged_order
+
+    def rows(self, times: Optional[Sequence[np.ndarray]] = None) -> Iterator[tuple]:
+        """Events as ``(loc, etype, region, aux_a, aux_b, t)`` in merged order.
+
+        ``t`` is taken from ``times`` (per-location timestamps of a clock
+        replay) or, by default, the physical timestamps.  Rows are built
+        :data:`ROW_CHUNK` at a time, so neither whole-trace Python lists
+        nor whole-trace gathered arrays exist at any moment.
+        """
+        order = self.merged_order()
+        offsets = self.offsets()
+        if times is None:
+            times = [lc.t for lc in self.locs]
+        per_loc = [(lc.etype, lc.region, lc.aux_a, lc.aux_b, ts)
+                   for lc, ts in zip(self.locs, times)]
+        for start in range(0, len(order), ROW_CHUNK):
+            pos = order[start:start + ROW_CHUNK]
+            # merged order keeps each location's own order, so the chunk
+            # holds one contiguous run per location: gather the runs in
+            # flat order, then permute them into merged order
+            flat_pos = np.sort(pos)
+            flat_loc = np.searchsorted(offsets, flat_pos, side="right") - 1
+            run_loc, first, count = np.unique(
+                flat_loc, return_index=True, return_counts=True)
+            runs = list(zip(run_loc.tolist(),
+                            (flat_pos[first] - offsets[run_loc]).tolist(),
+                            count.tolist()))
+            perm = np.searchsorted(flat_pos, pos)
+            fields = [
+                np.concatenate([per_loc[loc][k][i:i + n] for loc, i, n in runs])[perm]
+                for k in range(5)
+            ]
+            yield from zip(flat_loc[perm].tolist(),
+                           *(f.tolist() for f in fields))
 
     def sync_order(self):
         """Synchronisation events in global merged order (memoized).
 
-        Returns six parallel lists ``(loc, idx, etype, aux_a, aux_b, t)``
-        of all :data:`SYNC_KINDS` events, sorted by ``(t, loc, idx)`` --
-        exactly the order in which :meth:`RawTrace.merged` visits them
-        (the heap merge orders by ``(t, loc)`` and preserves per-location
-        order).  Mode-independent, so one sort serves all clock replays.
+        Returns five parallel lists ``(loc, idx, etype, aux_a, aux_b)`` of
+        all :data:`SYNC_KINDS` events: :meth:`merged_order` filtered to
+        those kinds.  Mode-independent, so one sort serves all clock
+        replays.
         """
         if self._sync_order is None:
-            locs_parts, idx_parts, et_parts, a_parts, b_parts, t_parts = \
-                [], [], [], [], [], []
-            for loc, lc in enumerate(self.locs):
-                mask = np.isin(lc.etype, SYNC_KINDS)
-                idx = np.nonzero(mask)[0]
-                locs_parts.append(np.full(len(idx), loc, dtype=np.int64))
-                idx_parts.append(idx)
-                et_parts.append(lc.etype[idx])
-                a_parts.append(lc.aux_a[idx])
-                b_parts.append(lc.aux_b[idx])
-                t_parts.append(lc.t[idx])
-            loc_all = np.concatenate(locs_parts) if locs_parts else np.empty(0, np.int64)
-            idx_all = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
-            et_all = np.concatenate(et_parts) if et_parts else np.empty(0, np.int64)
-            a_all = np.concatenate(a_parts) if a_parts else np.empty(0, np.int64)
-            b_all = np.concatenate(b_parts) if b_parts else np.empty(0, np.int64)
-            t_all = np.concatenate(t_parts) if t_parts else np.empty(0, np.float64)
-            order = np.lexsort((idx_all, loc_all, t_all))
+            order = self.merged_order()
+            etype = self.flat("etype")
+            pos = order[np.isin(etype[order], SYNC_KINDS)]
+            loc, idx = self.locate(pos)
             self._sync_order = (
-                loc_all[order].tolist(),
-                idx_all[order].tolist(),
-                et_all[order].tolist(),
-                a_all[order].tolist(),
-                b_all[order].tolist(),
-                t_all[order].tolist(),
+                loc.tolist(),
+                idx.tolist(),
+                etype[pos].tolist(),
+                self.flat("aux_a")[pos].tolist(),
+                self.flat("aux_b")[pos].tolist(),
             )
         return self._sync_order
 

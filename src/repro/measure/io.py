@@ -42,12 +42,17 @@ import tempfile
 import zipfile
 import zlib
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.measure.columnar import LocationColumns, TraceColumns
+from repro.measure.columnar import (
+    _COLUMN_FIELDS,
+    _DELTA_FIELDS,
+    _INT_FIELDS,
+    TraceColumns,
+)
 from repro.measure.trace import RawTrace
 from repro.sim.events import Ev, RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
@@ -191,11 +196,6 @@ def atomic_write_text(path: Union[str, Path], text: str,
     :func:`atomic_write_bytes`)."""
     atomic_write_bytes(path, text.encode(encoding))
 
-_COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b",
-                  "omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
 
 def _delta_to_obj(d: WorkDelta):
     if d.is_empty:
@@ -282,17 +282,24 @@ def _dump_trace_jsonl(trace: RawTrace, manifest: Optional[dict], fh) -> None:
 
 
 def read_trace(path: Union[str, Path]) -> RawTrace:
-    """Read a trace written by :func:`write_trace` (either format).
+    """Read a trace written by :func:`write_trace` (any format).
 
     An embedded provenance manifest is attached to the returned trace as
     its ``provenance`` attribute (``None`` when the archive has none).
+    Columnar archives (``.npz``, ``.shards``) come back as a
+    :meth:`RawTrace.from_columns` trace: the stored columns are checked
+    here -- a damaged archive raises :class:`TraceFormatError` now, not
+    later inside an analysis -- and ``Ev`` objects are built only if an
+    event walker asks for them.
     """
     path = Path(path)
     if path.suffix == ".shards":
         from repro.measure.shards import open_sharded_trace
 
         with obs.span("io.read_trace", format="shards"):
-            return open_sharded_trace(path).to_raw()
+            sharded = open_sharded_trace(path)
+            return RawTrace.from_columns(sharded.columns(),
+                                         provenance=sharded.provenance)
     fmt = "npz" if path.suffix == ".npz" else "jsonl"
     with obs.span("io.read_trace", format=fmt):
         trace = (_read_trace_npz(path) if fmt == "npz"
@@ -404,6 +411,43 @@ def _write_trace_npz(trace: RawTrace, path: Path,
     atomic_write_bytes(path, buf.getvalue())
 
 
+def _check_flat_columns(path, n_locations: int, offsets,
+                       flat: Dict[str, np.ndarray]) -> None:
+    """Reject location-concatenated columns that do not form a trace.
+
+    Offsets must be one integer per location plus one, non-decreasing
+    and within every column; each column one-dimensional, with an integer
+    dtype for ids and payloads and a float dtype for times and work
+    deltas (castable to ``int64``/``float64`` without loss).  Raises
+    :class:`TraceFormatError` naming the offending member.
+    """
+    offsets = np.asarray(offsets)
+    if (offsets.ndim != 1 or len(offsets) != n_locations + 1
+            or not np.issubdtype(offsets.dtype, np.integer)):
+        raise TraceFormatError(
+            path, f"offsets must be {n_locations + 1} integers, got "
+            f"shape {offsets.shape} of {offsets.dtype}", offset="offsets")
+    if offsets[0] < 0 or np.any(np.diff(offsets) < 0):
+        raise TraceFormatError(path, "offsets are negative or decreasing",
+                               offset="offsets")
+    end = int(offsets[-1])
+    for f in _COLUMN_FIELDS:
+        col = flat[f]
+        want = np.int64 if f in _INT_FIELDS else np.float64
+        kind = np.integer if f in _INT_FIELDS else np.floating
+        # an empty column has no values to misread (the writer stores a
+        # trace without locations as empty float arrays)
+        if col.size and not (np.issubdtype(col.dtype, kind)
+                             and np.can_cast(col.dtype, want)):
+            raise TraceFormatError(
+                path, f"column {f!r} has dtype {col.dtype}, expected "
+                f"{np.dtype(want).name}", offset=f)
+        if col.ndim != 1 or len(col) < end:
+            raise TraceFormatError(
+                path, f"column {f!r} has shape {col.shape}, the offsets "
+                f"address {end} rows", offset=f)
+
+
 def _read_trace_npz(path: Path) -> RawTrace:
     member = "header"
     try:
@@ -416,35 +460,28 @@ def _read_trace_npz(path: Path) -> RawTrace:
                     offset="header")
             member = "offsets"
             offsets = data["offsets"]
-            columns = {}
+            flat = {}
             for f in _COLUMN_FIELDS:
                 member = f
-                columns[f] = data[f]
+                flat[f] = data[f]
         member = "header"
         regions = RegionRegistry()
         for name, paradigm in zip(header["regions"], header["paradigms"]):
             regions.intern(name, paradigm)
         locations: List[Tuple[int, int]] = [tuple(lt) for lt in header["locations"]]
-        member = "offsets"
-        locs = [
-            LocationColumns(**{f: columns[f][offsets[i]:offsets[i + 1]]
-                               for f in _COLUMN_FIELDS})
-            for i in range(len(locations))
-        ]
-        cols = TraceColumns(
+        _check_flat_columns(path, len(locations), offsets, flat)
+        cols = TraceColumns.from_flat(
             mode=header["mode"],
             regions=regions,
             locations=locations,
-            locs=locs,
+            offsets=offsets,
+            flat=flat,
             runtime=header["runtime"],
-            pinning=None,
         )
-        trace = cols.to_raw()
     except TraceFormatError:
         raise
     except _READ_ERRORS as exc:
         raise TraceFormatError(
             path, f"corrupt columnar archive: {type(exc).__name__}: {exc}",
             offset=member) from exc
-    trace.provenance = header.get("provenance")
-    return trace
+    return RawTrace.from_columns(cols, provenance=header.get("provenance"))

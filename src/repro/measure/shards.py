@@ -14,15 +14,19 @@ shards plus a small JSON manifest:
 
 Each shard is a NumPy structured array (one record per event: location id,
 event kind, region id, timestamps, aux payload, work-delta components)
-stored in **global merged order** -- sorted by ``(t, loc, index-in-loc)``,
-exactly the order :meth:`repro.measure.trace.RawTrace.merged` visits a
-well-formed trace.  Storing the merge order makes every merged-order
-consumer (sanitize, race replay, clock replay, wait-state analysis) a
-single forward scan: :class:`ShardedTrace` memory-maps one shard at a
-time (``numpy.load(..., mmap_mode="r")``), materializes at most that
-shard's rows as Python objects, and drops them before opening the next
-shard.  Peak memory is bounded by the shard size regardless of trace
-length, which is what lets campaign-scale traces be analyzed out of core.
+stored in **global merged order** -- exactly the order
+:meth:`repro.measure.trace.RawTrace.merged` visits the trace
+(:meth:`repro.measure.columnar.TraceColumns.merged_order`).  Storing the
+merge order makes every merged-order consumer (sanitize, race replay,
+clock replay, wait-state analysis) a single forward scan:
+:class:`ShardedTrace` memory-maps one shard at a time
+(``numpy.load(..., mmap_mode="r")``), materializes at most that shard's
+rows as Python objects, and drops them before opening the next shard.
+Peak memory is bounded by the shard size regardless of trace length,
+which is what lets campaign-scale traces be analyzed out of core.
+:meth:`ShardedTrace.columns` is the non-streaming read: it regroups all
+records by location into a :class:`~repro.measure.columnar.TraceColumns`
+without building any ``Ev``.
 
 :func:`read_shard_manifest` reads *only* ``manifest.json`` -- provenance
 and shape queries never touch the event body.
@@ -42,7 +46,12 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.measure.columnar import _reconstruct_aux
+from repro.measure.columnar import (
+    _COLUMN_FIELDS,
+    _DELTA_FIELDS,
+    TraceColumns,
+    _reconstruct_aux,
+)
 from repro.measure.trace import RawTrace
 from repro.sim.events import Ev, RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
@@ -65,11 +74,6 @@ MANIFEST_NAME = "manifest.json"
 #: records (~74 B/row) stays a few MiB, large enough to amortize per-shard
 #: open/decode overhead
 DEFAULT_SHARD_EVENTS = 65536
-
-_COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b",
-                  "omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
 
 #: one record per event; ``loc`` first so a shard is self-describing
 SHARD_DTYPE = np.dtype([
@@ -116,29 +120,13 @@ def write_sharded_trace(
 
     with obs.span("io.write_sharded", shard_events=shard_events):
         cols = trace.columns()  # validates aux payload conventions
-        parts_loc, parts_idx = [], []
-        for loc, lc in enumerate(cols.locs):
-            n = len(lc)
-            parts_loc.append(np.full(n, loc, dtype=np.int64))
-            parts_idx.append(np.arange(n, dtype=np.int64))
-        if parts_loc:
-            loc_all = np.concatenate(parts_loc)
-            idx_all = np.concatenate(parts_idx)
-            t_all = np.concatenate([lc.t for lc in cols.locs])
-        else:
-            loc_all = idx_all = np.empty(0, dtype=np.int64)
-            t_all = np.empty(0, dtype=np.float64)
-        # merged order: by (t, loc, per-location index); matches the heap
-        # merge of RawTrace.merged() for per-location monotone traces
-        order = np.lexsort((idx_all, loc_all, t_all))
-
+        # the visit order of RawTrace.merged(), for any trace
+        order = cols.merged_order()
         n_total = len(order)
         rec = np.empty(n_total, dtype=SHARD_DTYPE)
-        rec["loc"] = loc_all[order]
+        rec["loc"] = cols.locate(order)[0]
         for field in _COLUMN_FIELDS:
-            col = (np.concatenate([getattr(lc, field) for lc in cols.locs])
-                   if cols.locs else np.empty(0))
-            rec[field] = col[order]
+            rec[field] = cols.flat(field)[order]
 
         shard_meta = []
         for i, start in enumerate(range(0, max(n_total, 1), shard_events)):
@@ -241,8 +229,9 @@ class ShardedTrace:
     (``mode``, ``regions``, ``locations``, ``n_events``, ...) plus a
     streaming :meth:`merged` iterator, so merged-order consumers -- the
     logical clock replays, :func:`repro.verify.races.find_races`, the
-    streaming sanitizer and analyzer -- accept it unchanged.  Only
-    :meth:`to_raw` materializes the whole trace.
+    streaming sanitizer -- accept it unchanged, and an ``Ev``-free
+    :meth:`rows` feed for the streaming analyzer.  Only :meth:`columns`
+    and :meth:`to_raw` materialize the whole trace.
     """
 
     def __init__(self, path: Path, header: dict):
@@ -323,13 +312,19 @@ class ShardedTrace:
             yield arr
             del arr  # release the map before opening the next shard
 
+    def _note_rows(self, n: int) -> None:
+        stats = self.stats
+        stats.rows_streamed += n
+        if n > stats.peak_resident_rows:
+            stats.peak_resident_rows = n
+            obs.gauge("io.shards.peak_resident_rows").set(float(n))
+
     def merged(self) -> Iterator[Tuple[int, Ev]]:
         """All events as ``(loc, Ev)`` in global merged order, streamed.
 
         Equivalent to :meth:`RawTrace.merged` on the materialized trace,
         but holds at most one shard's rows in memory.
         """
-        stats = self.stats
         for arr in self.iter_shards():
             # one bulk copy per column per shard (bounded by shard size);
             # plain lists are much faster to walk than np scalar reads
@@ -343,10 +338,7 @@ class ShardedTrace:
             d_ls = [arr[f].tolist() for f in _DELTA_FIELDS]
             d0, d1, d2, d3, d4, d5 = d_ls
             n = len(loc_l)
-            stats.rows_streamed += n
-            if n > stats.peak_resident_rows:
-                stats.peak_resident_rows = n
-                obs.gauge("io.shards.peak_resident_rows").set(float(n))
+            self._note_rows(n)
             for i in range(n):
                 et = et_l[i]
                 if d0[i] or d1[i] or d2[i] or d3[i] or d4[i] or d5[i]:
@@ -359,22 +351,52 @@ class ShardedTrace:
                     t_enter=te_l[i],
                 )
 
+    def rows(self) -> Iterator[tuple]:
+        """``(loc, etype, region, aux_a, aux_b, t)`` rows in merged order.
+
+        The ``Ev``-free feed of :func:`repro.analysis.analyzer.
+        analyze_stream` (physical timestamps), one shard at a time.
+        """
+        for arr in self.iter_shards():
+            self._note_rows(len(arr))
+            yield from zip(*(arr[f].tolist() for f in (
+                "loc", "etype", "region", "aux_a", "aux_b", "t")))
+
     # -- materialization (the non-streaming escape hatch) ---------------
-    def to_raw(self) -> RawTrace:
-        """Materialize the full per-event :class:`RawTrace` (O(events))."""
-        events: List[List[Ev]] = [[] for _ in self.locations]
-        for loc, ev in self.merged():
-            events[loc].append(ev)
-        trace = RawTrace(
+    def columns(self) -> TraceColumns:
+        """The whole trace as :class:`TraceColumns` (O(events), no ``Ev``).
+
+        A stable group-by on the records' location keeps every location's
+        events in archive order.  Raises
+        :class:`~repro.measure.io.TraceFormatError` for records naming a
+        location the manifest does not list.
+        """
+        from repro.measure.io import TraceFormatError
+
+        shards = list(self.iter_shards())
+        rec = np.concatenate(shards) if shards else np.empty(0, SHARD_DTYPE)
+        loc = rec["loc"]
+        n_loc = self.n_locations
+        if len(loc) and (loc.min() < 0 or loc.max() >= n_loc):
+            raise TraceFormatError(
+                self.path, f"record location outside 0..{n_loc - 1}",
+                offset="loc")
+        by_loc = np.argsort(loc, kind="stable")
+        offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(loc, minlength=n_loc))])
+        return TraceColumns.from_flat(
             mode=self.mode,
             regions=self.regions,
             locations=list(self.locations),
-            events=events,
+            offsets=offsets,
+            flat={f: rec[f][by_loc] for f in _COLUMN_FIELDS},
             runtime=self.runtime,
-            pinning=None,
         )
-        trace.provenance = self.provenance
-        return trace
+
+    def to_raw(self) -> RawTrace:
+        """The full :class:`RawTrace` over :meth:`columns` (O(events))."""
+        return RawTrace.from_columns(self.columns(),
+                                     provenance=self.provenance)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,6 +29,8 @@ class RawTrace:
         ``[(rank, thread), ...]`` indexed by location id.
     events:
         ``events[loc]`` is the time-ordered event list of that location.
+        A trace built by :meth:`from_columns` (every archive read) builds
+        these ``Ev`` lists only when first asked for them.
     runtime:
         Total wall runtime of the run (physical virtual-seconds).
     """
@@ -38,18 +40,18 @@ class RawTrace:
         mode: str,
         regions: RegionRegistry,
         locations: List[Tuple[int, int]],
-        events: List[List[Ev]],
+        events: Optional[List[List[Ev]]],
         runtime: float = 0.0,
         pinning: Optional[Pinning] = None,
     ):
-        if len(locations) != len(events):
+        if events is not None and len(locations) != len(events):
             raise ValueError(
                 f"{len(locations)} locations but {len(events)} event lists"
             )
         self.mode = mode
         self.regions = regions
         self.locations = locations
-        self.events = events
+        self._events = events
         self.runtime = runtime
         self.pinning = pinning
         #: provenance manifest read back from an archive (see
@@ -60,6 +62,26 @@ class RawTrace:
         }
         self._columns = None
 
+    @classmethod
+    def from_columns(cls, cols, provenance: Optional[dict] = None) -> "RawTrace":
+        """A trace over the columnar snapshot ``cols`` (archive reads).
+
+        ``columns()`` returns ``cols`` itself, so the clock replay, the
+        analyzer and what-if never create an ``Ev``; :attr:`events` is
+        materialized from the columns on first access.
+        """
+        trace = cls(cols.mode, cols.regions, list(cols.locations), None,
+                    runtime=cols.runtime, pinning=cols.pinning)
+        trace._columns = cols
+        trace.provenance = provenance
+        return trace
+
+    @property
+    def events(self) -> List[List[Ev]]:
+        if self._events is None:
+            self._events = self._columns.ev_lists()
+        return self._events
+
     # -- queries ---------------------------------------------------------
     @property
     def n_locations(self) -> int:
@@ -67,7 +89,9 @@ class RawTrace:
 
     @property
     def n_events(self) -> int:
-        return sum(len(e) for e in self.events)
+        if self._events is None:
+            return self._columns.n_events
+        return sum(len(e) for e in self._events)
 
     @property
     def n_ranks(self) -> int:

@@ -609,6 +609,47 @@ class TestIngestHardening:
         assert list(root.glob("*.corrupt-*"))
         assert _total(session, "serve.upload_rejects") == 1.0
 
+    def test_columnar_archive_with_bad_offsets_upload_400_and_quarantined(
+            self, tmp_path, session):
+        # a well-formed zip whose offsets decrease: the columns-first read
+        # must reject it at upload, not inside a later analysis job
+        import io
+
+        import numpy as np
+
+        from repro.measure import write_trace
+
+        f1 = tmp_path / "a.npz"
+        write_trace(_make_trace("ltbb", seed=1), f1)
+        with np.load(f1) as data:
+            members = {k: data[k] for k in data.files}
+        members["offsets"] = members["offsets"].copy()
+        members["offsets"][1] = members["offsets"][2] + 1
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **members)
+
+        async def main():
+            svc = _service(tmp_path)
+            await svc.start()
+            try:
+                from repro.serve.client import http_request
+
+                resp = await http_request(
+                    "127.0.0.1", svc.port, "PUT", "/v1/traces",
+                    body=buf.getvalue(),
+                    headers={"X-Archive-Name": "bad.npz"})
+                root = svc.store.root
+            finally:
+                await svc.stop()
+            return resp, root
+
+        resp, root = asyncio.run(main())
+        assert resp.status == 400
+        assert "malformed trace archive" in resp.json()["error"]
+        assert resp.headers.get("x-repro-quarantine")
+        assert list(root.glob("*.corrupt-*"))
+        assert _total(session, "serve.upload_rejects") == 1.0
+
     def test_analyze_on_archive_corrupted_in_store_answers_400(
             self, tmp_path, session):
         from repro.measure import write_trace
